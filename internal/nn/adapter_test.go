@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"edgellm/internal/artifact"
 	"edgellm/internal/fault"
 	"edgellm/internal/tensor"
 )
@@ -283,5 +284,34 @@ func TestAdapterArtifactOnDiskCorruption(t *testing.T) {
 	}
 	if _, err := LoadAdapterFile(path); err == nil {
 		t.Fatal("corrupted on-disk artifact loaded")
+	}
+}
+
+// TestLoadAdapterRejectsHugeDelta: a well-formed rank-1 artifact whose
+// dense delta A·B would hold 2^29 elements (2 GiB) must fail with an
+// error instead of allocating it.
+func TestLoadAdapterRejectsHugeDelta(t *testing.T) {
+	A, B := tensor.New(32768, 1), tensor.New(1, 16384)
+	if _, err := NewAdapter("huge", 1, []AdapterPair{{Target: "lmhead", A: A, B: B}}); err == nil {
+		t.Fatal("NewAdapter accepted a 2^29-element delta")
+	}
+	var buf bytes.Buffer
+	w, err := artifact.NewWriter(&buf, "test", adapterMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteHeader(adapterHeader{Name: "huge", Alpha: 1, Rank: 1, Targets: []string{"lmhead"}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []*tensor.Tensor{A, B} {
+		if _, err := x.WriteTo(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadAdapter(&buf); err == nil {
+		t.Fatal("LoadAdapter accepted a 2^29-element delta")
 	}
 }

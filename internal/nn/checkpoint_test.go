@@ -2,12 +2,13 @@ package nn
 
 import (
 	"bytes"
-	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"edgellm/internal/artifact"
 	"edgellm/internal/fault"
 	"edgellm/internal/tensor"
 )
@@ -235,27 +236,88 @@ func TestSaveFileAtomicPreservesOldCheckpoint(t *testing.T) {
 	}
 }
 
-// TestWriteFileAtomicCleansUpOnFailure checks that a write failing
-// mid-checkpoint (injected via fault.FailNthWriter) surfaces as an error,
-// produces no destination file, and leaves no temp litter.
-func TestWriteFileAtomicCleansUpOnFailure(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "model.ckpt")
-	m := tinyModel(70)
-	err := WriteFileAtomic(path, func(w io.Writer) error {
-		return m.Save(&fault.FailNthWriter{W: w, N: 3})
-	})
-	if err == nil {
-		t.Fatal("injected write failure must surface")
+// hostileCheckpoint frames a checkpoint whose header carries cfg and names
+// but no tensors, with a valid footer.
+func hostileCheckpoint(t *testing.T, cfg Config, names []string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := artifact.NewWriter(&buf, "test", checkpointMagicV2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, statErr := os.Stat(path); statErr == nil {
-		t.Fatal("failed atomic write created the destination file")
+	if err := w.WriteHeader(checkpointHeader{Config: cfg, Names: names}); err != nil {
+		t.Fatal(err)
 	}
-	entries, readErr := os.ReadDir(dir)
-	if readErr != nil {
-		t.Fatal(readErr)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if len(entries) != 0 {
-		t.Fatalf("temp litter left behind: %v", entries)
+	return buf.Bytes()
+}
+
+// TestLoadRejectsHostileConfig: a header whose config implies the wrong
+// tensor count, or a tensor above the element ceiling, must fail before
+// the model is built, not panic in makeslice or exhaust memory.
+func TestLoadRejectsHostileConfig(t *testing.T) {
+	names := make([]string, len(NewModel(Config{Vocab: 2, Dim: 4, Heads: 1, Layers: 1, Hidden: 4, MaxSeq: 4}, tensor.NewRNG(0)).Params()))
+	for _, tc := range []struct {
+		cfg   Config
+		names []string
+	}{
+		{Config{Vocab: 1 << 45, Dim: 4, Heads: 1, Layers: 1, Hidden: 4, MaxSeq: 4}, nil},
+		{Config{Vocab: 1 << 45, Dim: 4, Heads: 1, Layers: 1, Hidden: 4, MaxSeq: 4}, names},
+		{Config{Vocab: 1 << 62, Dim: 4, Heads: 1, Layers: 1, Hidden: 4, MaxSeq: 4}, names},
+		{Config{Vocab: 2, Dim: 4, Heads: 1, Layers: 1, Hidden: 1 << 40, MaxSeq: 4}, names},
+		{Config{Vocab: 2, Dim: 4, Heads: 1, Layers: 1 << 40, Hidden: 4, MaxSeq: 4}, names},
+	} {
+		if _, err := Load(bytes.NewReader(hostileCheckpoint(t, tc.cfg, tc.names))); err == nil {
+			t.Fatalf("config %+v with %d names loaded", tc.cfg, len(tc.names))
+		}
+	}
+}
+
+// TestCheckImpliedMatchesNewModel pins checkImplied's tensor count to the
+// architecture NewModel actually builds.
+func TestCheckImpliedMatchesNewModel(t *testing.T) {
+	for layers := 1; layers <= 3; layers++ {
+		for _, exits := range [][2]bool{{false, false}, {true, false}, {true, true}} {
+			cfg := Config{Vocab: 5, Dim: 4, Heads: 2, Layers: layers, Hidden: 6, MaxSeq: 3,
+				ExitHeads: exits[0], TieExitHeads: exits[1]}
+			n := len(NewModel(cfg, tensor.NewRNG(0)).Params())
+			if err := cfg.checkImplied(n); err != nil {
+				t.Fatalf("%+v: %v", cfg, err)
+			}
+			if err := cfg.checkImplied(n + 1); err == nil {
+				t.Fatalf("%+v: accepted %d tensors, NewModel builds %d", cfg, n+1, n)
+			}
+		}
+	}
+}
+
+// TestLoadV1Checkpoint builds a v1 checkpoint (no footer) from a v2 save
+// and requires it to load bit-identically, and every shorter cut to fail.
+func TestLoadV1Checkpoint(t *testing.T) {
+	v2 := readGolden(t, "checkpoint_v2.ckpt")
+	orig, err := Load(bytes.NewReader(v2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := append(checkpointMagicV1[:], v2[8:len(v2)-8]...)
+	back, err := Load(bytes.NewReader(v1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, bp := orig.Params(), back.Params()
+	for i := range op {
+		a, b := op[i].Value.Data.Data, bp[i].Value.Data.Data
+		for j := range a {
+			if math.Float32bits(a[j]) != math.Float32bits(b[j]) {
+				t.Fatalf("%s[%d] differs after v1 load", op[i].Name, j)
+			}
+		}
+	}
+	for cut := 0; cut < len(v1); cut++ {
+		if _, err := Load(bytes.NewReader(v1[:cut])); err == nil {
+			t.Fatalf("v1 checkpoint cut at %d of %d bytes loaded", cut, len(v1))
+		}
 	}
 }

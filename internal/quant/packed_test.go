@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"edgellm/internal/tensor"
@@ -184,20 +182,6 @@ func TestPackedSerializationRoundTrip(t *testing.T) {
 			}
 		}
 	}
-
-	// Typed ReadFrom dispatch.
-	var buf bytes.Buffer
-	if _, err := uni.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var p2 Packed
-	if _, err := p2.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("Packed.ReadFrom: %v", err)
-	}
-	var nf2 PackedNF
-	if _, err := nf2.ReadFrom(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("PackedNF.ReadFrom accepted a uniform artifact")
-	}
 }
 
 type packedArtifact interface {
@@ -225,26 +209,5 @@ func TestPackedSerializationRejectsCorruption(t *testing.T) {
 		if _, _, err := ReadPackedFrom(bytes.NewReader(art[:cut])); err == nil {
 			t.Fatalf("truncation at %d loaded cleanly", cut)
 		}
-	}
-}
-
-func TestWritePackedFileAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "w.packed")
-	p := Pack(randWeights(8, 8, 1), 4)
-	if err := WritePackedFile(path, p); err != nil {
-		t.Fatal(err)
-	}
-	m, err := ReadPackedFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r, c := m.Dims(); r != 8 || c != 8 {
-		t.Fatalf("read dims (%d,%d)", r, c)
-	}
-	// No temp litter after a successful write.
-	ents, _ := os.ReadDir(dir)
-	if len(ents) != 1 {
-		t.Fatalf("registry dir has %d entries, want 1", len(ents))
 	}
 }

@@ -3,10 +3,12 @@ package serve
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"path/filepath"
 	"testing"
 
+	"edgellm/internal/artifact"
 	"edgellm/internal/nn"
 	"edgellm/internal/quant"
 	"edgellm/internal/tensor"
@@ -22,12 +24,16 @@ func TestPackedArtifactInRegistry422(t *testing.T) {
 	m := testModel(404)
 	dir := t.TempDir()
 	p := quant.Pack(tensor.NewRNG(3).Normal(0, 1, 16, 16), 4)
-	if err := quant.WritePackedFile(filepath.Join(dir, "tenant-pkd"), p); err != nil {
+	err := artifact.WriteFile(filepath.Join(dir, "tenant-pkd"), func(w io.Writer) error {
+		_, err := p.WriteTo(w)
+		return err
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	reg := NewRegistry(dir, 2)
-	_, err := reg.Acquire("tenant-pkd")
+	_, err = reg.Acquire("tenant-pkd")
 	var corrupt *CorruptAdapterError
 	if !errors.As(err, &corrupt) {
 		t.Fatalf("Acquire on a packed artifact returned %v, want *CorruptAdapterError", err)

@@ -37,10 +37,11 @@ func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
 	return n + int64(w2), err
 }
 
-// maxReadElems bounds the element count ReadFrom will allocate for
+// MaxReadElems bounds the element count ReadFrom will allocate for
 // (1 GiB of float32). A corrupted dimension in a damaged checkpoint must
-// fail with a diagnostic error, not an out-of-memory crash.
-const maxReadElems = 1 << 28
+// fail with a diagnostic error, not an out-of-memory crash. Decoders that
+// derive tensor shapes from untrusted headers apply the same bound.
+const MaxReadElems = 1 << 28
 
 // ReadFrom deserialises a tensor previously written by WriteTo.
 func ReadFrom(r io.Reader) (*Tensor, error) {
@@ -70,13 +71,18 @@ func ReadFrom(r io.Reader) (*Tensor, error) {
 		}
 		shape[i] = int(d)
 		n *= int(d)
-		if n > maxReadElems {
+		if n > MaxReadElems {
 			return nil, fmt.Errorf("tensor: implausible element count %d (corrupt shape?)", n)
 		}
 	}
-	buf := make([]byte, 4*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	// Grow the buffer as the bytes arrive, so a forged shape on a short
+	// input fails without first allocating the full claimed size.
+	buf, err := io.ReadAll(io.LimitReader(r, 4*int64(n)))
+	if err != nil {
 		return nil, err
+	}
+	if len(buf) != 4*n {
+		return nil, io.ErrUnexpectedEOF
 	}
 	t := New(shape...)
 	for i := range t.Data {

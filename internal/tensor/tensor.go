@@ -74,6 +74,9 @@ func checkShape(shape []int) int {
 		if d <= 0 {
 			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", shape))
 		}
+		if n > math.MaxInt/d {
+			panic(fmt.Sprintf("tensor: element count of shape %v overflows int", shape))
+		}
 		n *= d
 	}
 	return n

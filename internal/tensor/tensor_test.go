@@ -32,6 +32,21 @@ func TestNewPanicsOnBadShape(t *testing.T) {
 	}
 }
 
+// TestNewPanicsOnOverflowingShape: an element count that overflows int
+// must panic, not wrap to a small tensor that carries a huge shape.
+func TestNewPanicsOnOverflowingShape(t *testing.T) {
+	for _, shape := range [][]int{{1 << 62, 4}, {1 << 32, 1 << 32}, {1 << 21, 1 << 21, 1 << 22}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%v) should panic", shape)
+				}
+			}()
+			New(shape...)
+		}()
+	}
+}
+
 func TestFromSliceAliasesAndValidates(t *testing.T) {
 	d := []float32{1, 2, 3, 4}
 	a := FromSlice(d, 2, 2)
